@@ -1,41 +1,34 @@
-//! Criterion benches for the simplex solver (substrate of E2/E3).
+//! Criterion benches for the simplex solver (substrate of E2/E3), on the
+//! decoding LP the attack really solves: `decoding_lp` (the code path of
+//! `lp_decode`) over the E2 regime — `m = 6n` density-½ subset queries
+//! answered with bounded noise `α = 0.5·√n`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::Rng;
-use so_data::rng::seeded_rng;
-use so_lp::{solve, Bound, Constraint, Objective, Problem, Relation, SolverConfig};
+use so_data::dist::RecordDistribution;
+use so_data::rng::{derive_seed, seeded_rng};
+use so_data::UniformBits;
+use so_lp::{solve, Problem, SolverConfig};
+use so_query::{BoundedNoiseSum, SubsetSumMechanism};
+use so_recon::{decoding_lp, lp_attack_queries};
 
-/// Builds an LP-decoding-shaped instance: n box variables, m residual
-/// variables, 2m constraints.
-fn decode_instance(n: usize, m: usize, seed: u64) -> Problem {
-    let mut rng = seeded_rng(seed);
-    let x: Vec<f64> = (0..n)
-        .map(|_| f64::from(u8::from(rng.gen::<bool>())))
-        .collect();
-    let mut p = Problem::new(n + m, Objective::Minimize);
-    for i in 0..n {
-        p.set_bound(i, Bound::between(0.0, 1.0));
-    }
-    for j in 0..m {
-        let e = n + j;
-        p.set_objective_coeff(e, 1.0);
-        let members: Vec<usize> = (0..n).filter(|_| rng.gen::<bool>()).collect();
-        let a: f64 = members.iter().map(|&i| x[i]).sum::<f64>() + rng.gen_range(-2.0..2.0);
-        let mut le: Vec<(usize, f64)> = members.iter().map(|&i| (i, 1.0)).collect();
-        le.push((e, -1.0));
-        p.add_constraint(Constraint::new(le, Relation::Le, a));
-        let mut ge: Vec<(usize, f64)> = members.iter().map(|&i| (i, 1.0)).collect();
-        ge.push((e, 1.0));
-        p.add_constraint(Constraint::new(ge, Relation::Ge, a));
-    }
-    p
+/// The E2-regime decoding LP for an `n`-bit secret: `m = 6n` rows,
+/// `n + 2m` columns.
+fn decode_instance(n: usize, seed: u64) -> Problem {
+    let m = 6 * n;
+    let x = UniformBits::new(n).sample(&mut seeded_rng(derive_seed(seed, 0)));
+    let queries = lp_attack_queries(n, m, &mut seeded_rng(derive_seed(seed, 1)));
+    let alpha = 0.5 * (n as f64).sqrt();
+    let answers =
+        BoundedNoiseSum::new(x, alpha, seeded_rng(derive_seed(seed, 2))).answer_all(&queries);
+    decoding_lp(n, &queries, &answers)
 }
 
 fn bench_simplex(c: &mut Criterion) {
     let mut group = c.benchmark_group("simplex_lp_decode_shape");
     group.sample_size(10);
-    for &(n, m) in &[(16usize, 64usize), (32, 128)] {
-        let p = decode_instance(n, m, 7);
+    for n in [16usize, 32, 64] {
+        let p = decode_instance(n, 7);
+        let m = p.constraints().len();
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("n{n}_m{m}")),
             &p,

@@ -91,7 +91,7 @@ pub fn parse_bench_output(text: &str) -> BenchReport {
 }
 
 /// Bench groups the recorded artifact must cover.
-pub const REQUIRED_GROUPS: [&str; 11] = [
+pub const REQUIRED_GROUPS: [&str; 12] = [
     "subset_sum_true_answer",
     "count_range_100k",
     "select_range_100k",
@@ -103,6 +103,7 @@ pub const REQUIRED_GROUPS: [&str; 11] = [
     "lint_cost",
     "service_throughput",
     "obs_overhead",
+    "simplex_lp_decode_shape",
 ];
 
 /// Validates a recorded transcript: all `time:` lines parse, every required

@@ -1,23 +1,28 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! # so-lp — a pure-Rust dense linear-programming solver
+//! # so-lp — a pure-Rust linear-programming solver
 //!
 //! Substrate for the LP-decoding reconstruction attack (Theorem 1.1(ii) of
-//! the paper, after Dinur–Nissim 2003 and Dwork–McSherry–Talwar 2007) and for
-//! the census reconstruction experiments. The attack recovers a private bit
-//! vector from noisy subset-sum answers by solving
+//! the paper, after Dinur–Nissim 2003 and Dwork–McSherry–Talwar 2007). The
+//! attack recovers a private bit vector from noisy subset-sum answers by
+//! solving the L1 decoding program, one equality row per query,
 //!
 //! ```text
-//!   minimize   Σ_q e_q
-//!   subject to -e_q ≤ a_q − Σ_{i∈q} x_i ≤ e_q,   0 ≤ x_i ≤ 1
+//!   minimize   Σ_q (e⁺_q + e⁻_q)
+//!   subject to Σ_{i∈q} x_i − e⁺_q + e⁻_q = a_q,   0 ≤ x_i ≤ 1,   e± ≥ 0
 //! ```
 //!
-//! and rounding. The solver is a classic **two-phase primal simplex** on a
-//! dense tableau with Dantzig pricing and a Bland's-rule fallback for
-//! anti-cycling. It supports minimization/maximization, `≤`/`=`/`≥`
-//! constraints, and per-variable bounds (finite lower bounds via shifting,
-//! free variables via splitting).
+//! and rounding. The solver is a **bounded-variable primal simplex** on a
+//! dense tableau: variable bounds are enforced by the ratio test (a step can
+//! flip a variable between its bounds without a pivot) instead of becoming
+//! rows, slack and singleton columns start basic so that phase 1 runs only
+//! for rows that need an artificial, and pricing is Dantzig's rule with a
+//! Bland's-rule fallback on degenerate stalls. It supports
+//! minimization/maximization, `≤`/`=`/`≥` constraints, and per-variable
+//! bounds (finite bounds by shifting or mirroring, free variables by
+//! splitting). Every optimum comes with dual prices, so a caller can check
+//! its optimality by certificate rather than trust it.
 //!
 //! Scale target: thousands of variables/constraints — plenty for the paper's
 //! experiments, with no external dependencies to audit.
@@ -33,6 +38,10 @@
 //! p.add_constraint(Constraint::new(vec![(0, 3.0), (1, 2.0)], Relation::Le, 18.0));
 //! let s = solve(&p, &SolverConfig::default()).unwrap().expect_optimal();
 //! assert!((s.objective - 36.0).abs() < 1e-7);
+//! // The certificate: the row prices (0, 1.5, 1) reproduce the optimum,
+//! // 4·0 + 12·1.5 + 18·1 = 36.
+//! let dual_objective: f64 = [4.0, 12.0, 18.0].iter().zip(&s.duals).map(|(b, y)| b * y).sum();
+//! assert!((dual_objective - 36.0).abs() < 1e-7);
 //! ```
 
 pub mod problem;
@@ -130,7 +139,8 @@ mod integration_tests {
 
     #[test]
     fn boxed_variables_respect_upper_bounds() {
-        // max x + y with x,y in [0, 2.5] → 5.
+        // max x + y with x,y in [0, 2.5] → 5, by two bound flips and no
+        // pivot: the bounds are never rows.
         let mut p = Problem::new(2, Objective::Maximize);
         p.set_objective_coeff(0, 1.0);
         p.set_objective_coeff(1, 1.0);
@@ -140,6 +150,7 @@ mod integration_tests {
             .unwrap()
             .expect_optimal();
         assert!((s.objective - 5.0).abs() < 1e-7);
+        assert_eq!((s.iterations, s.bound_flips), (0, 2));
     }
 
     #[test]

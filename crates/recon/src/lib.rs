@@ -35,7 +35,7 @@ pub mod obs;
 pub use differencing::{averaging_differencing_attack, differencing_attack};
 pub use exponential::exhaustive_reconstruct;
 pub use least_squares::least_squares_reconstruct;
-pub use lp_decode::{lp_attack_queries, lp_decode, lp_reconstruct};
+pub use lp_decode::{decoding_lp, lp_attack_queries, lp_decode, lp_reconstruct};
 pub use obs::{recon_metrics, ReconMetrics};
 
 use so_data::BitVec;

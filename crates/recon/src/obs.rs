@@ -1,7 +1,7 @@
 //! Reconstruction-attack observability: LP-decoder counters published to the
 //! `so-obs` global registry.
 //!
-//! Attack, query, and simplex-iteration counts are deterministic for a fixed
+//! Attack, query, simplex-pivot and bound-flip counts are deterministic for a fixed
 //! seed (the simplex solver pivots deterministically), so these metrics are
 //! safe to compare across thread counts and traced/untraced runs.
 
@@ -21,6 +21,9 @@ pub struct ReconMetrics {
     /// `so_recon_lp_iterations_total` — simplex pivot iterations spent
     /// solving the decoding LPs.
     pub lp_iterations: Counter,
+    /// `so_recon_lp_bound_flips_total` — simplex steps that moved a
+    /// variable between its bounds without a pivot.
+    pub lp_bound_flips: Counter,
 }
 
 /// The reconstruction layer's global metric handles, registered on first use.
@@ -32,6 +35,7 @@ pub fn recon_metrics() -> &'static ReconMetrics {
             lp_attacks: r.counter("so_recon_lp_attacks_total"),
             lp_queries: r.counter("so_recon_lp_queries_total"),
             lp_iterations: r.counter("so_recon_lp_iterations_total"),
+            lp_bound_flips: r.counter("so_recon_lp_bound_flips_total"),
         }
     })
 }
